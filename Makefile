@@ -55,17 +55,32 @@ bench-auth:
 	$(GO) run ./cmd/benchjson < BENCH_auth.txt > BENCH_auth.json
 
 # Durable-storage benchmark artifact: the disk WAL across the fsync
-# on/off × batch 1/64 matrix, plus incremental (delta) vs full checkpoint
+# on/off × batch 1/64 matrix; full vs byte-diff vs key-delta checkpoint
 # encoding on the 10k-key / 1% mutation workload (snap-bytes is the
-# per-interval encode+transfer cost each mode pays). Both runs append into
-# one BENCH_disk.txt so benchjson emits a single artifact.
+# per-interval encode+transfer cost each mode pays); and
+# SnapshotManager.Checkpoint on a disk backend at 10k and 1M keys with 1k
+# writes between checkpoints. All runs append into one BENCH_disk.txt so
+# benchjson emits a single artifact. benchgate enforces two byte counts,
+# which do not depend on the host's speed: the full encoding is at least
+# DISK_KEYDELTA_SHRINK times the key-delta checkpoint (76.9x = the delta
+# stays within the byte-diff codec's 1.3%-of-full figure on this
+# workload), and the delta link written for the same 1k writes is flat in
+# the store size (1M-key link bytes at most 1.05x the 10k-key ones, gated
+# as 10k ÷ 1M >= 1/1.05).
 DISK_BENCHTIME ?= 100x
+CKPT_BENCHTIME ?= 20x
+DISK_KEYDELTA_SHRINK ?= 76.9
+DISK_CKPT_FLAT ?= 0.9524
 
 bench-disk:
 	$(GO) test -bench=DiskWAL -benchtime=$(DISK_BENCHTIME) -run='^$$' ./internal/storage > BENCH_disk.txt
 	$(GO) test -bench=IncrementalSnapshot -benchtime=20x -run='^$$' ./internal/snapshot >> BENCH_disk.txt
+	$(GO) test -bench=Checkpoint -benchtime=$(CKPT_BENCHTIME) -run='^$$' ./internal/smr >> BENCH_disk.txt
 	cat BENCH_disk.txt
 	$(GO) run ./cmd/benchjson < BENCH_disk.txt > BENCH_disk.json
+	$(GO) run ./cmd/benchgate -input BENCH_disk.json \
+		-ratio 'BenchmarkIncrementalSnapshot/full:BenchmarkIncrementalSnapshot/keydelta:snap-bytes:$(DISK_KEYDELTA_SHRINK)' \
+		-ratio 'BenchmarkCheckpoint/keys=10k:BenchmarkCheckpoint/keys=1M:link-bytes:$(DISK_CKPT_FLAT)'
 
 # Zero-copy wire-path benchmark artifact: kvload sweeps real loopback
 # clusters plain and over the authenticated session transport (best of

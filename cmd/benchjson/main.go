@@ -8,7 +8,9 @@
 // Every benchmark result line becomes one record holding the iteration
 // count and every reported metric (ns/op, B/op, allocs/op and custom
 // b.ReportMetric units like cmds/sec). Header lines (goos, goarch, pkg,
-// cpu) become top-level fields.
+// cpu) become top-level fields, and so does the host shape: nproc (this
+// process's CPU count — run it on the host that ran the benchmarks) and
+// the GOMAXPROCS the benchmarks ran with (their -N name suffix).
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -33,11 +36,13 @@ type Report struct {
 	Goarch     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NProc      int         `json:"nproc"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
-	report := Report{Benchmarks: []Benchmark{}}
+	report := Report{NProc: runtime.NumCPU(), GOMAXPROCS: 1, Benchmarks: []Benchmark{}}
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
@@ -56,8 +61,9 @@ func main() {
 			report.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		}
-		if b, ok := parseLine(line); ok {
+		if b, procs, ok := parseLine(line); ok {
 			report.Benchmarks = append(report.Benchmarks, b)
+			report.GOMAXPROCS = procs
 		}
 	}
 	if err := scanner.Err(); err != nil {
@@ -73,43 +79,46 @@ func main() {
 }
 
 // parseLine decodes one "BenchmarkX-8  12  34 ns/op  5 B/op ..." line:
-// a benchmark name, an iteration count, then (value, unit) pairs.
-func parseLine(line string) (Benchmark, bool) {
+// a benchmark name, an iteration count, then (value, unit) pairs. procs is
+// the name's GOMAXPROCS suffix (go test omits it at 1).
+func parseLine(line string) (b Benchmark, procs int, ok bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
-	b := Benchmark{
-		Name:       trimProcSuffix(fields[0]),
+	name, procs := trimProcSuffix(fields[0])
+	b = Benchmark{
+		Name:       name,
 		Iterations: iters,
 		Metrics:    make(map[string]float64, (len(fields)-2)/2),
 	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return Benchmark{}, 0, false
 		}
 		b.Metrics[fields[i+1]] = v
 	}
-	return b, true
+	return b, procs, true
 }
 
 // trimProcSuffix drops the trailing -GOMAXPROCS decoration so names are
-// stable across machines ("BenchmarkX/y=1-8" → "BenchmarkX/y=1").
-func trimProcSuffix(name string) string {
+// stable across machines ("BenchmarkX/y=1-8" → "BenchmarkX/y=1", 8).
+func trimProcSuffix(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -95,7 +95,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
 		fsync      = flag.Bool("fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
 		fsyncBatch = flag.Int("fsync-batch", 8, "WAL appends per fsync (1 = every append)")
-		fullEvery  = flag.Int("full-snapshot-every", 4, "every k-th on-disk checkpoint is full, the rest are deltas")
+		fullEvery  = flag.Int("full-snapshot-every", 4, "every k-th checkpoint is a full link, the rest are key deltas")
 		clientAuth = flag.Bool("client-auth", false, "require signed client commands (ACMD; provenance checked at every layer)")
 		numClients = flag.Int("num-clients", 16, "provisioned client keyring size (with -client-auth)")
 		clientSeed = flag.Int64("client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")

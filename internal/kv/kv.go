@@ -15,9 +15,12 @@
 // The store implements snapshot.Snapshotter — its full state (data map plus
 // the duplicate-suppression state, in deterministic order) round-trips
 // through SnapshotState/RestoreState — so SMR deployments can checkpoint
-// it, compact their logs and transfer it to recovering replicas. The legacy
-// dedup table is boundable (SetAppliedLimit, PruneApplied): without a bound
-// it grows one entry per unique request forever.
+// it, compact their logs and transfer it to recovering replicas. It is
+// also a snapshot.DeltaSnapshotter: it remembers the keys written since
+// the last checkpoint, so a checkpoint encodes those keys and not the
+// whole map. The legacy dedup table is boundable (SetAppliedLimit,
+// PruneApplied): without a bound it grows one entry per unique request
+// forever.
 package kv
 
 import (
@@ -31,6 +34,7 @@ import (
 
 	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
+	"genconsensus/internal/snapshot"
 	"genconsensus/internal/wire"
 )
 
@@ -84,15 +88,11 @@ type Store struct {
 	seqWindow uint64                              // per-client horizon (auth mode)
 	clients   map[uint32]*wire.SeqTracker[string] // client → applied seq → response
 
-	// Sorted-key cache for SnapshotState: checkpoints re-encode the whole
-	// store every interval, and re-sorting every key each time dominated
-	// the commit path's CPU under load. sortedKeys holds the keys already
-	// in order, newKeys the ones inserted since the last snapshot (merged
-	// in at the next one), and keysResort forces a full rebuild after a
-	// delete or a state restore.
-	sortedKeys []string
-	newKeys    []string
-	keysResort bool
+	// Checkpoint delta tracking (SnapshotDelta), off until the first
+	// SnapshotDelta or RestoreState: dirty holds the keys written since
+	// then, prevTail the dedup-state encoding the next delta diffs against.
+	dirty    map[string]struct{}
+	prevTail []byte
 }
 
 // NewStore returns an empty store.
@@ -233,58 +233,23 @@ func (s *Store) Apply(cmd model.Value) string {
 func (s *Store) execLocked(op, key, value string) string {
 	switch op {
 	case "SET":
-		if _, ok := s.data[key]; !ok {
-			s.newKeys = append(s.newKeys, key)
-		}
 		s.data[key] = value
+		if s.dirty != nil {
+			s.dirty[key] = struct{}{}
+		}
 		return "OK"
 	case "DEL":
 		if _, ok := s.data[key]; ok {
 			delete(s.data, key)
-			s.keysResort = true
+			if s.dirty != nil {
+				s.dirty[key] = struct{}{}
+			}
 			return "OK"
 		}
 		return "NOTFOUND"
 	default:
 		return "ERR unknown op " + op
 	}
-}
-
-// orderedKeysLocked returns every data key in sorted order, maintaining
-// the snapshot key cache: new keys since the last call are sorted and
-// merged in O(n); only a delete or restore forces a full re-sort. Callers
-// hold s.mu (write).
-func (s *Store) orderedKeysLocked() []string {
-	if s.keysResort {
-		s.sortedKeys = s.sortedKeys[:0]
-		for k := range s.data {
-			s.sortedKeys = append(s.sortedKeys, k)
-		}
-		sort.Strings(s.sortedKeys)
-		s.newKeys = s.newKeys[:0]
-		s.keysResort = false
-		return s.sortedKeys
-	}
-	if len(s.newKeys) == 0 {
-		return s.sortedKeys
-	}
-	sort.Strings(s.newKeys)
-	merged := make([]string, 0, len(s.sortedKeys)+len(s.newKeys))
-	i, j := 0, 0
-	for i < len(s.sortedKeys) && j < len(s.newKeys) {
-		if s.sortedKeys[i] <= s.newKeys[j] {
-			merged = append(merged, s.sortedKeys[i])
-			i++
-		} else {
-			merged = append(merged, s.newKeys[j])
-			j++
-		}
-	}
-	merged = append(merged, s.sortedKeys[i:]...)
-	merged = append(merged, s.newKeys[j:]...)
-	s.sortedKeys = merged
-	s.newKeys = s.newKeys[:0]
-	return s.sortedKeys
 }
 
 // applyAuthLocked is the authenticated apply path for an already-verified
@@ -520,23 +485,69 @@ var ErrBadState = errors.New("kv: malformed state encoding")
 // request-id table in apply order, plus, in authenticated mode, the
 // per-client sequence windows (clients sorted by id, seqs ascending).
 // Replicas with identical applied prefixes encode byte-identical states,
-// so snapshot digests are comparable across the cluster.
+// so snapshot digests are comparable across the cluster. The encoding is
+// in snapshot's keyed layout: magic, the sorted entries, then the dedup
+// state as the tail.
 func (s *Store) SnapshotState() []byte {
-	// Write lock, not read: encoding refreshes the sorted-key cache.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.orderedKeysLocked()
-	buf := make([]byte, 0, 64)
-	magic := stateMagic
-	if s.verify != nil {
-		magic = stateMagicV2
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	keys := make([]string, 0, len(s.data))
+	for k := range s.data {
+		keys = append(keys, k)
 	}
-	buf = append(buf, magic...)
+	sort.Strings(keys)
+	buf := make([]byte, 0, 64)
+	buf = append(buf, s.magicLocked()...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = appendString(buf, k)
 		buf = appendString(buf, s.data[k])
 	}
+	return s.appendTailLocked(buf)
+}
+
+// SnapshotDelta implements snapshot.DeltaSnapshotter: the keys written
+// since the previous call (or RestoreState) with their current values or
+// deletions, and the dedup state diffed against its previous encoding.
+// The first call on a store that was never restored reports every key. The
+// work is proportional to the keys written and the dedup state, not to
+// the store. Callers serialize it with Apply, like SnapshotState.
+func (s *Store) SnapshotDelta() *snapshot.KeyDelta {
+	s.mu.Lock()
+	d := &snapshot.KeyDelta{Header: s.magicLocked(), Full: s.dirty == nil}
+	if d.Full {
+		d.Changes = make([]snapshot.KeyChange, 0, len(s.data))
+		for k, v := range s.data {
+			d.Changes = append(d.Changes, snapshot.KeyChange{Key: k, Value: v})
+		}
+	} else {
+		d.Changes = make([]snapshot.KeyChange, 0, len(s.dirty))
+		for k := range s.dirty {
+			v, ok := s.data[k]
+			d.Changes = append(d.Changes, snapshot.KeyChange{Key: k, Value: v, Deleted: !ok})
+		}
+	}
+	s.dirty = make(map[string]struct{})
+	prevTail := s.prevTail
+	s.prevTail = s.appendTailLocked(nil)
+	tail := s.prevTail
+	s.mu.Unlock()
+	sort.Slice(d.Changes, func(i, j int) bool { return d.Changes[i].Key < d.Changes[j].Key })
+	d.TailDelta = snapshot.EncodeDelta(prevTail, tail)
+	return d
+}
+
+// magicLocked is the state encoding's version magic. Callers hold s.mu.
+func (s *Store) magicLocked() string {
+	if s.verify != nil {
+		return stateMagicV2
+	}
+	return stateMagic
+}
+
+// appendTailLocked appends the dedup state: the legacy request-id table
+// and, in authenticated mode, the client windows. Callers hold s.mu.
+func (s *Store) appendTailLocked(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.appliedOrder)))
 	for _, reqID := range s.appliedOrder {
 		buf = appendString(buf, reqID)
@@ -573,7 +584,8 @@ func (s *Store) SnapshotState() []byte {
 // entire state with a decoded SnapshotState encoding (either version: v1
 // restores empty client windows). The configured applied limit and
 // authentication mode survive the restore; the limit is re-enforced on the
-// restored table.
+// restored table. The restored state is the base of the next
+// SnapshotDelta.
 func (s *Store) RestoreState(data []byte) error {
 	if len(data) < len(stateMagic)+8 {
 		return ErrBadState
@@ -677,10 +689,11 @@ func (s *Store) RestoreState(data []byte) error {
 	s.applied = newApplied
 	s.appliedOrder = newOrder
 	s.clients = newClients
-	s.keysResort = true // the key cache describes the replaced state
 	if s.appliedLimit > 0 {
 		s.pruneLocked(s.appliedLimit)
 	}
+	s.dirty = make(map[string]struct{})
+	s.prevTail = s.appendTailLocked(nil)
 	return nil
 }
 

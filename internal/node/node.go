@@ -151,9 +151,10 @@ type Config struct {
 	// every append). The last FsyncBatch-1 decisions may be lost to a
 	// power cut — they are re-fetched from peers on restart.
 	FsyncBatch int
-	// FullSnapshotEvery makes every k-th on-disk checkpoint a full state
-	// encoding and the rest deltas against their predecessor (default 4;
-	// 1 disables incremental encoding).
+	// FullSnapshotEvery makes every k-th checkpoint a full state encoding
+	// and the rest key deltas against their predecessor (default 4; 1
+	// disables incremental encoding). Replicas offset the period by their
+	// id, so they do not all write full links at the same checkpoint.
 	FullSnapshotEvery int
 	// BaseTimeout/TimeoutGrowth configure the transport's growing round
 	// deadlines (defaults 50ms/20ms).
@@ -454,13 +455,12 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		}
 		if cfg.DataDir != "" {
 			backend, err := storage.OpenDisk(storage.DiskConfig{
-				Dir:               groupDataDir(cfg.DataDir, cfg.Shards, g.id),
-				Fsync:             cfg.Fsync,
-				FsyncBatch:        cfg.FsyncBatch,
-				FullSnapshotEvery: cfg.FullSnapshotEvery,
-				Logf:              cfg.Logf,
-				Metrics:           reg,
-				MetricsPrefix:     prefix,
+				Dir:           groupDataDir(cfg.DataDir, cfg.Shards, g.id),
+				Fsync:         cfg.Fsync,
+				FsyncBatch:    cfg.FsyncBatch,
+				Logf:          cfg.Logf,
+				Metrics:       reg,
+				MetricsPrefix: prefix,
 			})
 			if err != nil {
 				n.groups = append(n.groups, g)
@@ -487,6 +487,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 			mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{
 				Interval:    cfg.SnapshotInterval,
 				KeepApplied: cfg.AppliedKeep,
+				FullEvery:   cfg.FullSnapshotEvery,
 			})
 			if err != nil {
 				n.groups = append(n.groups, g)
@@ -1246,21 +1247,37 @@ type clientConn struct {
 	lastSeq   uint64             // highest session sequence accepted
 	strikes   int                // failed authentications on this connection
 
-	// wrote remembers the session's last accepted write sequence per
-	// consensus group — the read-your-writes anchor: a session READ waits
-	// until the group's store has applied at least that sequence. Lazily
+	// wrote holds, per consensus group, the session's accepted write
+	// sequences not yet seen applied, ascending — the read-your-writes
+	// anchor: a session READ waits until the group's store has applied
+	// every one. Pipelined instances may commit a later write first, so
+	// the highest sequence alone does not cover the earlier ones. Lazily
 	// allocated on the first session write.
-	wrote map[wire.GroupID]uint64
+	wrote map[wire.GroupID][]uint64
 }
 
-// noteWrite records an accepted session write for read-your-writes.
+// noteWrite records an accepted session write for read-your-writes,
+// dropping the already-applied prefix so a session that never reads keeps
+// only its writes in flight.
 func (c *clientConn) noteWrite(g wire.GroupID, seq uint64) {
 	if c.wrote == nil {
-		c.wrote = make(map[wire.GroupID]uint64)
+		c.wrote = make(map[wire.GroupID][]uint64)
 	}
-	if seq > c.wrote[g] {
-		c.wrote[g] = seq
+	c.wrote[g] = append(c.appliedPrefixDropped(c.n.groups[g]), seq)
+}
+
+// appliedPrefixDropped returns the group's pending session writes without
+// the leading ones the store has applied.
+func (c *clientConn) appliedPrefixDropped(g *group) []uint64 {
+	seqs := c.wrote[g.id]
+	store, ok := g.sm.(*kv.Store)
+	if !ok {
+		return seqs
 	}
+	for len(seqs) > 0 && store.SeqApplied(c.client, seqs[0]) {
+		seqs = seqs[1:]
+	}
+	return seqs
 }
 
 // maxClientStrikes is the per-connection authentication-failure budget;

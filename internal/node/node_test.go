@@ -193,6 +193,48 @@ func TestKVNodeCluster(t *testing.T) {
 	checkLogConsistency(t, nodes)
 }
 
+// TestKVNodeCheckpointStats: the checkpoint cost is visible on the node's
+// own surfaces — the commit-path hold time and the full-state folds show
+// up in STATS (and so in /metrics, which dumps the same registry).
+func TestKVNodeCheckpointStats(t *testing.T) {
+	nodes, _ := startNodes(t, 4, func(cfg *Config) {
+		cfg.ClientAddr = "127.0.0.1:0"
+		cfg.MaxBatch = 4
+		cfg.Pipeline = 2
+		cfg.BaseTimeout = 40 * time.Millisecond
+		cfg.SnapshotInterval = 1
+		cfg.FullSnapshotEvery = 2
+	})
+	// One write per instance: each decided instance is a checkpoint.
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("ck-%d", i)
+		submitAll(nodes, kv.Command(fmt.Sprintf("cs-%d", i), "SET", key, "v"))
+		waitFor(t, 30*time.Second, "write on node 0", func() bool {
+			return hasKeys(nodes[0], map[string]string{key: "v"})
+		})
+	}
+	stats := map[string]string{}
+	for _, line := range dialRead(t, nodes[0].ClientAddr()).askMulti(t, "STATS") {
+		if k, v, ok := strings.Cut(line, "="); ok {
+			stats[k] = v
+		}
+	}
+	for _, name := range []string{"g0.smr.checkpoint_ns.count", "g0.smr.checkpoint_ns.p99", "g0.smr.checkpoint_folds"} {
+		if v := stats[name]; v == "" || v == "0" {
+			t.Errorf("STATS %s = %q, want non-zero", name, v)
+		}
+	}
+	var js strings.Builder
+	if err := nodes[0].Metrics().WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{`"g0.smr.checkpoint_ns.count"`, `"g0.smr.checkpoint_folds"`} {
+		if !strings.Contains(js.String(), name) {
+			t.Errorf("/metrics JSON lacks %s", name)
+		}
+	}
+}
+
 // TestKVNodeCrashRecovery is the crash-recovery e2e on a class-3
 // n=6, b=1, f=1 cluster over real loopback TCP: a node is killed
 // mid-load, the survivors keep deciding and compact their logs past its

@@ -36,25 +36,26 @@ func (g *group) readIndex() uint64 {
 }
 
 // waitReadIndex blocks until the group's apply watermark passes the read
-// index (and, for sessions, the connection's own last write), reporting
-// the applied instance to stamp the reply with. The empty-string error
-// return is "" on success, or the protocol error line on timeout.
-func (c *clientConn) waitReadIndex(g *group, store *kv.Store, deadline time.Time) (uint64, string) {
-	// Read-your-writes: the session's last accepted write on this group
+// index (and, for sessions, every write the connection had accepted on the
+// group), reporting the applied instance to stamp the reply with. The
+// empty-string error return is "" on success, or the protocol error line
+// on timeout.
+func (c *clientConn) waitReadIndex(g *group, deadline time.Time) (uint64, string) {
+	// Read-your-writes: every write the session had accepted on this group
 	// must be applied before the read serves, even if the read index was
-	// captured before the write's instance existed. The loop re-arms on
+	// captured before the writes' instances existed. The loop re-arms on
 	// every watermark advance; capturing the watermark before the probe
 	// closes the probe-then-wait race.
-	if c.sessioned {
-		if seq, ok := c.wrote[g.id]; ok {
-			for {
-				wm := g.commits.NextCommit()
-				if store.SeqApplied(c.client, seq) {
-					break
-				}
-				if !g.commits.WaitApplied(wm, deadline) {
-					return 0, "ERR read timeout"
-				}
+	if c.sessioned && len(c.wrote[g.id]) > 0 {
+		for {
+			wm := g.commits.NextCommit()
+			pending := c.appliedPrefixDropped(g)
+			c.wrote[g.id] = pending
+			if len(pending) == 0 {
+				break
+			}
+			if !g.commits.WaitApplied(wm, deadline) {
+				return 0, "ERR read timeout"
 			}
 		}
 	}
@@ -80,7 +81,7 @@ func handleRead(c *clientConn, fields []string) string {
 		return "ERR not a kv store"
 	}
 	start := time.Now()
-	applied, errResp := c.waitReadIndex(g, store, start.Add(c.n.cfg.ReadTimeout))
+	applied, errResp := c.waitReadIndex(g, start.Add(c.n.cfg.ReadTimeout))
 	if errResp != "" {
 		return errResp
 	}
@@ -129,7 +130,7 @@ func handleMRead(c *clientConn, fields []string) string {
 			return "ERR not a kv store"
 		}
 		start := time.Now()
-		applied, errResp := c.waitReadIndex(g, store, start.Add(c.n.cfg.ReadTimeout))
+		applied, errResp := c.waitReadIndex(g, start.Add(c.n.cfg.ReadTimeout))
 		if errResp != "" {
 			return errResp
 		}

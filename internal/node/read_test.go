@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/readq"
+	"genconsensus/internal/smr"
 	"genconsensus/internal/wire"
 )
 
@@ -450,5 +452,53 @@ func TestKVNodeReadStats(t *testing.T) {
 		if got := stats[name]; got != v {
 			t.Errorf("STATS %s = %q, want %q", name, got, v)
 		}
+	}
+}
+
+// TestSessionReadWaitsForEveryEarlierWrite pins read-your-writes for
+// pipelined sessions: a session's writes may commit out of sequence order
+// (pipelined instances drain different queue slices), so a READ must wait
+// for every write the connection had accepted on the group, not just the
+// highest sequence. Here seq 2 commits in instance 1 and seq 1 in
+// instance 2; a READ of seq 1's key between the two must block, then
+// return seq 1's value.
+func TestSessionReadWaitsForEveryEarlierWrite(t *testing.T) {
+	nd, err := New(Config{ID: 0, N: 4, B: 1, ListenAddr: "127.0.0.1:0", AuthSeed: 42,
+		ClientAuth: true, NumClients: 8}, kv.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	g := nd.groups[0]
+	g.commits = smr.NewCommitQueue(g.replica, 1, nil)
+	c := &clientConn{n: nd, pinned: -1, sessioned: true, client: 1}
+	signer := auth.NewClientSigner(nd.cfg.ClientSeed, 1)
+	write := func(seq uint64, key, value string) model.Value {
+		cmd, err := kv.SignedCommand(signer, seq, "SET", key, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.noteWrite(g.id, seq)
+		return cmd
+	}
+	first := write(1, "a", "one")
+	second := write(2, "b", "two")
+
+	g.commits.Deliver(1, second)
+	got := make(chan string, 1)
+	go func() { got <- handleRead(c, []string{"a"}) }()
+	select {
+	case resp := <-got:
+		t.Fatalf("READ served %q before the session's seq 1 applied", resp)
+	case <-time.After(100 * time.Millisecond):
+	}
+	g.commits.Deliver(2, first)
+	select {
+	case resp := <-got:
+		if resp != "VAL 0 2 one" {
+			t.Fatalf("READ = %q, want %q", resp, "VAL 0 2 one")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("READ still blocked after every session write applied")
 	}
 }

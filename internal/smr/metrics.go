@@ -22,18 +22,25 @@ type Metrics struct {
 	// equivocating client double-signing one sequence number).
 	ReplayRejects  *obs.Counter
 	EquivEvictions *obs.Counter
+	// CheckpointNS observes how long each SnapshotManager.Checkpoint holds
+	// the commit path; CheckpointFolds counts how often the manager
+	// materialized a full state from its deltas.
+	CheckpointNS    *obs.Histogram
+	CheckpointFolds *obs.Counter
 }
 
 // MetricsFor resolves the replica instrument set from a registry under the
 // given name prefix (e.g. "g0."). A nil registry yields the disabled set.
 func MetricsFor(reg *obs.Registry, prefix string) Metrics {
 	return Metrics{
-		Proposals:      reg.Counter(prefix + "smr.proposals"),
-		BatchSize:      reg.Histogram(prefix + "smr.batch_size"),
-		Decisions:      reg.Counter(prefix + "smr.decisions"),
-		Commits:        reg.Counter(prefix + "smr.commits"),
-		ReplayRejects:  reg.Counter(prefix + "smr.replay_rejects"),
-		EquivEvictions: reg.Counter(prefix + "smr.equivocation_evictions"),
+		Proposals:       reg.Counter(prefix + "smr.proposals"),
+		BatchSize:       reg.Histogram(prefix + "smr.batch_size"),
+		Decisions:       reg.Counter(prefix + "smr.decisions"),
+		Commits:         reg.Counter(prefix + "smr.commits"),
+		ReplayRejects:   reg.Counter(prefix + "smr.replay_rejects"),
+		EquivEvictions:  reg.Counter(prefix + "smr.equivocation_evictions"),
+		CheckpointNS:    reg.Histogram(prefix + "smr.checkpoint_ns"),
+		CheckpointFolds: reg.Counter(prefix + "smr.checkpoint_folds"),
 	}
 }
 
@@ -43,6 +50,13 @@ func (r *Replica) SetMetrics(m Metrics) {
 	r.mu.Lock()
 	r.metrics = m
 	r.mu.Unlock()
+}
+
+// instruments returns the replica's instrument set.
+func (r *Replica) instruments() Metrics {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.metrics
 }
 
 // SetMetrics wires every replica in the simulated cluster to the registry

@@ -67,6 +67,14 @@ func TestClusterPowerCycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Close stops the background WAL compactor; it must
+				// run before TempDir's cleanup removes the directory
+				// (cleanups run last-registered first).
+				t.Cleanup(func() {
+					if err := d.Close(); err != nil {
+						t.Error(err)
+					}
+				})
 				return d
 			}
 		},

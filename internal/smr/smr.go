@@ -44,12 +44,21 @@
 //
 //   - Checkpoint: a SnapshotManager observes every committed instance and,
 //     at each Interval boundary, prunes the state machine's dedup table
-//     (snapshot.Pruner), encodes the application state deterministically
-//     (snapshot.Snapshotter) and records a snapshot.Snapshot carrying the
-//     instance watermark and the global log index it covers. Instance
-//     numbers are cluster-global, so honest replicas checkpoint the same
+//     (snapshot.Pruner) and takes its key delta
+//     (snapshot.DeltaSnapshotter): the keys written since the previous
+//     checkpoint, plus the dedup state diffed against its previous
+//     encoding. That is all that runs on the commit path at a boundary —
+//     work proportional to the writes, not to the state. The full state,
+//     a snapshot.Snapshot carrying the instance watermark and the global
+//     log index it covers, is materialized by folding the deltas into the
+//     previous full state only when something needs it: the full chain
+//     link every FullEvery-th checkpoint, and SnapshotManager.Latest
+//     (state transfer, recovery). Instance numbers are cluster-global and
+//     the fold is deterministic, so honest replicas checkpoint the same
 //     boundaries with byte-identical snapshots — digests are comparable
-//     across the cluster.
+//     across the cluster. Which boundaries get a full link is offset by
+//     replica id, so replicas pay for their full links at different
+//     times and a quorum keeps committing through each one.
 //
 //   - Compaction: the checkpoint truncates the log below its index
 //     (Log.TruncatePrefix). Log positions are global and survive
@@ -90,13 +99,17 @@
 //     truncated at open and costs exactly the records that had not reached
 //     the disk, never the prefix.
 //
-//   - Durable checkpoints: every SnapshotManager checkpoint (and every
-//     verified snapshot Install) is persisted to the backend's snapshot
-//     store — written to a temp file and renamed, digest-verified on load,
-//     encoded incrementally (deltas against the previous checkpoint with a
-//     periodic full snapshot and a chain digest, snapshot.Incremental*) —
-//     and then the WAL is truncated at the checkpoint boundary, so the WAL
-//     only ever spans checkpoint-to-head.
+//   - Durable checkpoints: every SnapshotManager checkpoint is persisted to
+//     the backend as one link of a checkpoint chain (Backend.SaveCheckpoint)
+//     — the key delta itself, or every FullEvery-th checkpoint the folded
+//     full state — written to a temp file and renamed, and bound to its
+//     predecessors by a chain digest over each link's payload (full links:
+//     over the state's digest). A verified snapshot Install is persisted as
+//     a full link and starts a new chain. Only once the link is stored is
+//     the WAL truncated at the checkpoint boundary, so the WAL only ever
+//     spans durable-checkpoint-to-head; a failed save leaves the WAL whole
+//     and makes the next link full. Loading walks the newest chain and
+//     folds it into the full state.
 //
 //   - Recovery ordering — disk first, then peers: a restarting replica
 //     loads its newest verified local checkpoint, replays its WAL above it

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"genconsensus/internal/model"
 	"genconsensus/internal/snapshot"
@@ -19,19 +20,29 @@ type SnapshotConfig struct {
 	// each boundary (snapshot.Pruner), so dedup memory stops growing with
 	// history. 0 disables pruning.
 	KeepApplied int
+	// FullEvery makes every k-th checkpoint a full chain link, the rest
+	// key deltas against their predecessor (default 4; 1 makes every
+	// checkpoint full). It bounds both the chain a restore walks and the
+	// deltas held in memory between full links. Replicas take their full
+	// links at different boundaries (offset by replica id).
+	FullEvery int
 }
 
 // ErrTailUnavailable reports that recovery needs log entries every live
 // donor has already compacted away.
 var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor")
 
-// SnapshotManager maintains one replica's durable checkpoints: every
-// Interval committed instances it prunes the dedup table, encodes the
-// state machine, records the snapshot with its digest, and truncates the
-// replica's log below the checkpoint — the compaction that keeps a
-// long-running deployment's memory bounded. Install is the inverse,
-// applied on a recovering replica with a snapshot verified against b+1
-// peers.
+// SnapshotManager maintains one replica's durable checkpoints. Every
+// Interval committed instances it prunes the dedup table, takes the state
+// machine's key delta (snapshot.DeltaSnapshotter) — the keys written since
+// the previous checkpoint — persists it as a chain link, and truncates the
+// replica's log and WAL below the checkpoint: the compaction that keeps a
+// long-running deployment's memory bounded. That work is proportional to
+// the keys written, not to the state. The full state is materialized
+// (folded from the deltas) only when it is needed: for the full link every
+// FullEvery-th checkpoint, and when Latest is asked for it (state
+// transfer, recovery). Install is the inverse, applied on a recovering
+// replica with a snapshot verified against b+1 peers.
 //
 // Checkpoint/MaybeSnapshot must be serialized with commits (they read the
 // log length and state together); the commit paths — Cluster.commitDecision
@@ -39,25 +50,31 @@ var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor
 // concurrently (it is the transport's snapshot provider).
 type SnapshotManager struct {
 	r       *Replica
-	snapper snapshot.Snapshotter
+	snapper snapshot.DeltaSnapshotter
 	cfg     SnapshotConfig
 
-	mu     sync.Mutex
-	latest *snapshot.Snapshot
-	digest [32]byte
-	taken  int
+	mu      sync.Mutex
+	base    *snapshot.Snapshot     // newest materialized checkpoint
+	digest  [32]byte               // Digest(base)
+	pending []*snapshot.Checkpoint // key-delta links past base, oldest first
+	tip     *snapshot.Checkpoint   // newest link; nil = the next link is full
+	deltas  int                    // delta links since the newest full link
+	taken   int
 }
 
 // NewSnapshotManager builds a manager over the replica. The replica's
-// state machine must implement snapshot.Snapshotter and the interval must
-// be positive.
+// state machine must implement snapshot.DeltaSnapshotter and the interval
+// must be positive.
 func NewSnapshotManager(r *Replica, cfg SnapshotConfig) (*SnapshotManager, error) {
-	snapper, ok := r.SM.(snapshot.Snapshotter)
+	snapper, ok := r.SM.(snapshot.DeltaSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("smr: state machine %T cannot snapshot", r.SM)
 	}
 	if cfg.Interval == 0 {
 		return nil, errors.New("smr: snapshot interval must be positive")
+	}
+	if cfg.FullEvery < 1 {
+		cfg.FullEvery = 4
 	}
 	return &SnapshotManager{r: r, snapper: snapper, cfg: cfg}, nil
 }
@@ -72,61 +89,147 @@ func (m *SnapshotManager) MaybeSnapshot(instance uint64) bool {
 	return true
 }
 
-// Checkpoint unconditionally snapshots the replica at the given instance
-// watermark: prune the dedup table, encode the state, record the snapshot
-// and compact the log below it. Every step is deterministic, so replicas
-// checkpointing the same instance produce identical digests.
-func (m *SnapshotManager) Checkpoint(instance uint64) *snapshot.Snapshot {
+// Checkpoint unconditionally checkpoints the replica at the given instance
+// watermark: prune the dedup table, take the state delta, persist its
+// chain link and compact the log below it. Every step is deterministic,
+// so replicas checkpointing the same instance materialize identical
+// states and digests.
+func (m *SnapshotManager) Checkpoint(instance uint64) {
+	start := time.Now()
+	met := m.r.instruments()
+	defer met.CheckpointNS.ObserveSince(start)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.latest != nil && instance <= m.latest.LastInstance {
-		return m.latest
+	if instance <= m.lastLocked() {
+		return
 	}
 	if m.cfg.KeepApplied > 0 {
 		if p, ok := m.snapper.(snapshot.Pruner); ok {
 			p.PruneApplied(m.cfg.KeepApplied)
 		}
 	}
-	snap := &snapshot.Snapshot{
-		LastInstance: instance,
-		LogIndex:     uint64(m.r.Log.Len()),
-		State:        m.snapper.SnapshotState(),
+	logIndex := uint64(m.r.Log.Len())
+	d := m.snapper.SnapshotDelta()
+	payload := snapshot.AppendKeyDelta(nil, d)
+	var link *snapshot.Checkpoint
+	switch {
+	case !d.Full && m.base == nil:
+		// The state was restored behind this manager's back: there is no
+		// base to apply the delta to, so encode the state whole.
+		m.base = &snapshot.Snapshot{LastInstance: instance, LogIndex: logIndex, State: m.snapper.SnapshotState()}
+		m.pending = nil
+		link, m.digest = snapshot.FullLink(m.base)
+	case d.Full || m.tip == nil || m.deltas+1 >= m.cfg.FullEvery || m.fullTurn(instance):
+		if d.Full {
+			m.base, m.pending = nil, nil // the delta restates everything
+		}
+		m.foldLocked(met, &snapshot.Checkpoint{LastInstance: instance, LogIndex: logIndex, Payload: payload})
+		link, m.digest = snapshot.FullLink(m.base)
+	default:
+		link = snapshot.KeyDeltaLink(m.tip, instance, logIndex, payload)
+		m.pending = append(m.pending, link)
 	}
-	m.latest = snap
-	m.digest = snapshot.Digest(snap)
+	if link.Kind == snapshot.FullCheckpoint {
+		m.deltas = 0
+	} else {
+		m.deltas++
+	}
+	m.tip = link
 	m.taken++
-	m.r.Log.TruncatePrefix(snap.LogIndex)
-	m.persistLocked(snap)
-	return snap
+	m.r.Log.TruncatePrefix(logIndex)
+	m.persistLocked(link)
 }
 
-// persistLocked pushes a checkpoint to the replica's durable backend (if
-// any) and truncates the WAL beneath it — the decided instances it covers
-// are now replayable from the snapshot instead. Storage failures degrade
-// to in-memory checkpoints (reported, not fatal): a broken disk must not
-// stop the compaction that keeps memory bounded. Callers hold m.mu.
-func (m *SnapshotManager) persistLocked(snap *snapshot.Snapshot) {
+// fullTurn reports whether the checkpoint at instance is this replica's
+// turn for a full link: every FullEvery-th boundary, offset by replica id.
+// Boundaries are cluster-wide, so without the offset every replica would
+// fold, hash and write its whole state at the same instance and their
+// commit paths would stall together; staggered, a quorum keeps committing
+// while one replica writes its full link. Which links are full is local to
+// the replica: Latest's state and digest do not depend on it.
+func (m *SnapshotManager) fullTurn(instance uint64) bool {
+	return (instance/m.cfg.Interval+uint64(m.r.ID))%uint64(m.cfg.FullEvery) == 0
+}
+
+// lastLocked is the newest checkpoint's instance (0 = none). Callers hold
+// m.mu.
+func (m *SnapshotManager) lastLocked() uint64 {
+	if n := len(m.pending); n > 0 {
+		return m.pending[n-1].LastInstance
+	}
+	if m.base != nil {
+		return m.base.LastInstance
+	}
+	return 0
+}
+
+// foldLocked materializes the newest checkpoint: the pending deltas, then
+// next (if non-nil), merged into base in one pass. The digest is left to
+// the caller, which either needs it anyway (FullLink) or computes it.
+// Callers hold m.mu.
+func (m *SnapshotManager) foldLocked(met Metrics, next *snapshot.Checkpoint) {
+	links := m.pending
+	if next != nil {
+		links = append(links, next)
+	}
+	if len(links) == 0 {
+		return
+	}
+	payloads := make([][]byte, len(links))
+	for i, c := range links {
+		payloads[i] = c.Payload
+	}
+	var baseState []byte
+	if m.base != nil {
+		baseState = m.base.State
+	}
+	state, err := snapshot.MergeKeyDeltas(baseState, payloads...)
+	if err != nil {
+		// The manager encoded every payload itself from the same state
+		// machine: a merge failure is a bug, not an input error.
+		panic(fmt.Sprintf("smr: folding checkpoint deltas: %v", err))
+	}
+	last := links[len(links)-1]
+	m.base = &snapshot.Snapshot{LastInstance: last.LastInstance, LogIndex: last.LogIndex, State: state}
+	m.pending = nil
+	met.CheckpointFolds.Inc()
+}
+
+// persistLocked pushes a checkpoint link to the replica's durable backend
+// (if any) and, once the link is stored, truncates the WAL beneath it —
+// the decided instances it covers are now replayable from the chain
+// instead. Storage failures degrade to in-memory checkpoints (reported,
+// not fatal): a broken disk must not stop the compaction that keeps memory
+// bounded. A failed save restarts the chain, so the next link is full.
+// Callers hold m.mu.
+func (m *SnapshotManager) persistLocked(link *snapshot.Checkpoint) {
 	b := m.r.Backend()
 	if b == nil {
 		return
 	}
-	if err := b.SaveSnapshot(snap); err != nil {
-		m.r.reportStorageErr(fmt.Errorf("smr: persisting checkpoint %d: %w", snap.LastInstance, err))
+	if err := b.SaveCheckpoint(link); err != nil {
+		m.tip = nil
+		m.r.reportStorageErr(fmt.Errorf("smr: persisting checkpoint %d: %w", link.LastInstance, err))
 		return
 	}
-	if err := b.TruncateWAL(snap.LastInstance); err != nil {
-		m.r.reportStorageErr(fmt.Errorf("smr: truncating wal at %d: %w", snap.LastInstance, err))
+	if err := b.TruncateWAL(link.LastInstance); err != nil {
+		m.r.reportStorageErr(fmt.Errorf("smr: truncating wal at %d: %w", link.LastInstance, err))
 	}
 }
 
-// Latest returns the most recent checkpoint and its digest.
+// Latest returns the most recent checkpoint and its digest, folding any
+// pending deltas into the full state first.
 func (m *SnapshotManager) Latest() (*snapshot.Snapshot, [32]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.latest == nil {
+	if len(m.pending) > 0 {
+		m.foldLocked(m.r.instruments(), nil)
+		m.digest = snapshot.Digest(m.base)
+	}
+	if m.base == nil {
 		return nil, [32]byte{}, false
 	}
-	return m.latest, m.digest, true
+	return m.base, m.digest, true
 }
 
 // Taken reports how many checkpoints this manager has produced (tests and
@@ -139,9 +242,10 @@ func (m *SnapshotManager) Taken() int {
 
 // Install replaces the replica's state with a (verified) snapshot: the
 // state machine is restored, the log restarts at the snapshot index, and
-// the snapshot becomes this manager's latest. Verification — b+1 matching
-// digests — is the caller's duty (transport.FetchVerifiedSnapshot or
-// Cluster.Recover); Install trusts its argument.
+// the snapshot becomes this manager's latest and is persisted as a full
+// link; the next checkpoint starts a new chain. Verification — b+1
+// matching digests — is the caller's duty (transport.FetchVerifiedSnapshot
+// or Cluster.Recover); Install trusts its argument.
 func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -149,9 +253,14 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 		return fmt.Errorf("smr: installing snapshot: %w", err)
 	}
 	m.r.Log.Reset(snap.LogIndex)
-	m.latest = snap
-	m.digest = snapshot.Digest(snap)
-	m.persistLocked(snap)
+	m.base = snap
+	m.pending = nil
+	var link *snapshot.Checkpoint
+	link, m.digest = snapshot.FullLink(snap)
+	m.persistLocked(link)
+	// A local restore re-saves the stored checkpoint, which the backend
+	// drops; its chain tip is then unknown here, so start a new chain.
+	m.tip = nil
 	return nil
 }
 

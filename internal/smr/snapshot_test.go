@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,8 +9,10 @@ import (
 	"genconsensus/internal/flv"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/snapshot"
+	"genconsensus/internal/storage"
 )
 
 func TestLogOffsets(t *testing.T) {
@@ -113,6 +116,157 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 	}
 	if s2, d2, ok := mgr2.Latest(); !ok || d2 != digest || s2.LastInstance != 6 {
 		t.Error("install did not adopt the snapshot as latest")
+	}
+}
+
+// linkRecorder is a Memory backend that records the kinds of the links it
+// is asked to save, can fail saves on demand, and records WAL truncations.
+type linkRecorder struct {
+	*storage.Memory
+	kinds     []snapshot.CheckpointKind
+	failNext  bool
+	truncated []uint64
+}
+
+func (b *linkRecorder) SaveCheckpoint(c *snapshot.Checkpoint) error {
+	if b.failNext {
+		b.failNext = false
+		return errors.New("disk full")
+	}
+	b.kinds = append(b.kinds, c.Kind)
+	return b.Memory.SaveCheckpoint(c)
+}
+
+func (b *linkRecorder) TruncateWAL(through uint64) error {
+	b.truncated = append(b.truncated, through)
+	return b.Memory.TruncateWAL(through)
+}
+
+// TestSnapshotManagerDeltaChain drives the manager's chain policy over a
+// recording backend: every FullEvery-th link is full and the rest are key
+// deltas; the stored chain always loads to the state machine's exact
+// encoding; the full state is folded only for full links and for Latest;
+// and a failed save leaves the WAL untruncated and restarts the chain.
+func TestSnapshotManagerDeltaChain(t *testing.T) {
+	store := kv.NewStore()
+	r := NewReplica(0, store)
+	reg := obs.NewRegistry()
+	r.SetMetrics(MetricsFor(reg, "g0."))
+	b := &linkRecorder{Memory: storage.NewMemory()}
+	var storageErrs int
+	r.SetBackend(b, func(error) { storageErrs++ })
+	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 1, KeepApplied: 16, FullEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func(i int) {
+		t.Helper()
+		r.Commit(testCmd(i))
+		r.Commit(kv.Command(fmt.Sprintf("del-%d", i), "DEL", fmt.Sprintf("cq-k-%d", i-2), ""))
+		mgr.MaybeSnapshot(uint64(i))
+		snap, ok, err := b.LoadSnapshot()
+		if err != nil || !ok || snap.LastInstance != uint64(i) {
+			t.Fatalf("checkpoint %d: stored chain loads %+v, %v, %v", i, snap, ok, err)
+		}
+		if string(snap.State) != string(store.SnapshotState()) {
+			t.Fatalf("checkpoint %d: stored chain diverges from the state machine", i)
+		}
+	}
+	for i := 1; i <= 7; i++ {
+		checkpoint(i)
+	}
+	F, D := snapshot.FullCheckpoint, snapshot.KeyDeltaCheckpoint
+	// Replica 0's full links fall on the multiples of FullEvery (and on
+	// the first checkpoint, which starts the chain).
+	want := []snapshot.CheckpointKind{F, D, F, D, D, F, D}
+	if fmt.Sprint(b.kinds) != fmt.Sprint(want) {
+		t.Fatalf("link kinds %v, want %v", b.kinds, want)
+	}
+	if got := reg.CounterValue("g0.smr.checkpoint_folds"); got != 3 {
+		t.Fatalf("folds after 7 checkpoints = %d, want 3 (one per full link)", got)
+	}
+	if got := reg.Histogram("g0.smr.checkpoint_ns").Count(); got != 7 {
+		t.Fatalf("checkpoint_ns observed %d checkpoints, want 7", got)
+	}
+
+	// Latest folds the pending delta once, and its digest is the full
+	// state's.
+	checkpoint(8)
+	snap, digest, ok := mgr.Latest()
+	if !ok || snap.LastInstance != 8 || string(snap.State) != string(store.SnapshotState()) ||
+		digest != snapshot.Digest(snap) {
+		t.Fatalf("Latest = %d, ok %v, or its state/digest diverge", snap.LastInstance, ok)
+	}
+	mgr.Latest()
+	if got := reg.CounterValue("g0.smr.checkpoint_folds"); got != 4 {
+		t.Fatalf("folds after Latest = %d, want 4", got)
+	}
+
+	// A failed save of a delta link: no WAL truncation at that
+	// checkpoint, the failure is reported, and the chain restarts with a
+	// full link where a delta was due.
+	checkpoint(9)
+	b.failNext = true
+	r.Commit(testCmd(10))
+	mgr.MaybeSnapshot(10)
+	if n := len(b.truncated); b.truncated[n-1] != 9 {
+		t.Fatalf("WAL truncated through %d after a failed save", b.truncated[n-1])
+	}
+	if storageErrs != 1 {
+		t.Fatalf("%d storage errors reported, want 1", storageErrs)
+	}
+	checkpoint(11)
+	if k := b.kinds[len(b.kinds)-1]; k != F {
+		t.Fatalf("link after a failed save is kind %d, want full", k)
+	}
+	if n := len(b.truncated); b.truncated[n-1] != 11 {
+		t.Fatalf("WAL truncated through %d, want 11", b.truncated[n-1])
+	}
+}
+
+// TestSnapshotManagerStaggersFullLinks: replicas checkpoint the same
+// boundaries but take their full links at different ones, so their commit
+// paths do not all stall on a whole-state write at once, while the states
+// and digests they checkpoint stay identical.
+func TestSnapshotManagerStaggersFullLinks(t *testing.T) {
+	const n, fullEvery, checkpoints = 4, 4, 12
+	var recorders []*linkRecorder
+	var mgrs []*SnapshotManager
+	var replicas []*Replica
+	for id := 0; id < n; id++ {
+		r := NewReplica(model.PID(id), kv.NewStore())
+		b := &linkRecorder{Memory: storage.NewMemory()}
+		r.SetBackend(b, func(err error) { t.Error(err) })
+		mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 2, FullEvery: fullEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorders, mgrs, replicas = append(recorders, b), append(mgrs, mgr), append(replicas, r)
+	}
+	for inst := 1; inst <= 2*checkpoints; inst++ {
+		for id, r := range replicas {
+			r.Commit(testCmd(inst))
+			mgrs[id].MaybeSnapshot(uint64(inst))
+		}
+	}
+	// The first checkpoint starts every chain with a full link; after it,
+	// exactly one replica writes a full link at each boundary.
+	for c := 1; c < checkpoints; c++ {
+		var full []int
+		for id, b := range recorders {
+			if b.kinds[c] == snapshot.FullCheckpoint {
+				full = append(full, id)
+			}
+		}
+		if len(full) != 1 {
+			t.Fatalf("checkpoint %d: replicas %v wrote full links, want exactly one", c+1, full)
+		}
+	}
+	_, want, _ := mgrs[0].Latest()
+	for id, mgr := range mgrs[1:] {
+		if _, d, ok := mgr.Latest(); !ok || d != want {
+			t.Fatalf("replica %d checkpoints a different state", id+1)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // benchStates builds the acceptance workload: a 10k-key store's state
-// before and after a 1% mutation wave.
-func benchStates(b *testing.B) (base, next *snapshot.Snapshot) {
+// before and after a 1% mutation wave, and the key delta between them.
+func benchStates(b *testing.B) (base, next *snapshot.Snapshot, delta *snapshot.KeyDelta) {
 	b.Helper()
 	store := kv.NewStore()
 	rng := rand.New(rand.NewSource(5))
@@ -21,21 +21,23 @@ func benchStates(b *testing.B) (base, next *snapshot.Snapshot) {
 			fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%06d-%d", i, rng.Int63())))
 	}
 	base = &snapshot.Snapshot{LastInstance: 1, LogIndex: keys, State: store.SnapshotState()}
+	store.SnapshotDelta()
 	for i := 0; i < keys/100; i++ {
 		store.Apply(kv.Command(fmt.Sprintf("mut-%d", i), "SET",
 			fmt.Sprintf("key-%06d", rng.Intn(keys)), fmt.Sprintf("mutated-%d", rng.Int63())))
 	}
 	next = &snapshot.Snapshot{LastInstance: 2, LogIndex: keys + keys/100, State: store.SnapshotState()}
-	return base, next
+	return base, next, store.SnapshotDelta()
 }
 
 // BenchmarkIncrementalSnapshot compares checkpoint encodings on the
 // 10k-key / 1% mutation workload: "full" re-encodes the whole state every
-// interval (the pre-incremental behaviour), "delta" encodes only the
-// change against the previous checkpoint. snap-bytes reports the encoded
+// interval (the pre-incremental behaviour), "delta" byte-diffs the new
+// full state against the previous checkpoint's, and "keydelta" encodes
+// the written keys as checkpoints do. snap-bytes reports the encoded
 // checkpoint size each mode writes (and transfers) per interval.
 func BenchmarkIncrementalSnapshot(b *testing.B) {
-	base, next := benchStates(b)
+	base, next, delta := benchStates(b)
 	b.Run("full", func(b *testing.B) {
 		enc := &snapshot.IncrementalEncoder{FullEvery: 1}
 		var out int
@@ -53,6 +55,15 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 			enc.Encode(base)
 			b.StartTimer()
 			ck := enc.Encode(next)
+			out = len(snapshot.EncodeCheckpoint(ck))
+		}
+		b.ReportMetric(float64(out), "snap-bytes")
+	})
+	b.Run("keydelta", func(b *testing.B) {
+		full, _ := snapshot.FullLink(base)
+		var out int
+		for i := 0; i < b.N; i++ {
+			ck := snapshot.KeyDeltaLink(full, next.LastInstance, next.LogIndex, snapshot.AppendKeyDelta(nil, delta))
 			out = len(snapshot.EncodeCheckpoint(ck))
 		}
 		b.ReportMetric(float64(out), "snap-bytes")

@@ -9,20 +9,32 @@ import (
 
 // Incremental checkpoints: a large state machine should not pay a full
 // re-encode (and a full disk write, and a full transfer) every interval when
-// only a sliver of it changed. A Checkpoint is therefore either a Full state
-// encoding or a Delta — a binary diff against the previous checkpoint's
-// state — with a periodic full snapshot bounding every recovery chain, and a
-// chain digest binding each checkpoint to its whole ancestry so a corrupted
-// or substituted link is detected before it can poison a restore.
+// only a sliver of it changed. A Checkpoint is therefore one link of a
+// chain: a full state encoding, or a delta against the previous link's
+// state, with a periodic full link bounding every recovery chain and a
+// chain digest binding each link to its whole ancestry, so a corrupted or
+// substituted link is detected before it can poison a restore.
 //
-// The delta codec is rsync-shaped: the base state is cut into fixed-size
-// blocks indexed by a rolling hash, the target is scanned with the same
-// rolling hash, and matches become COPY ops (extended greedily in both
-// value and length) while unmatched bytes become literals. Because the
-// deterministic state encodings emitted by Snapshotter implementations are
-// key-sorted, a small mutation perturbs a few blocks and the rest of the
-// state re-synchronizes immediately — a 1% mutation rate costs a few
-// percent of the full encoding, not all of it.
+// Two delta formats exist, told apart by the link's magic version:
+//
+//   - GCCKPT2 key-delta links (KeyDeltaCheckpoint) are what checkpoints
+//     write: the keys written since the previous link (see keyed.go), so
+//     a link costs what changed, not what the store holds. The chain
+//     digest covers the link's payload, so building a link never hashes
+//     the whole state.
+//   - GCCKPT1 byte-diff links (DeltaCheckpoint) are an rsync-shaped binary
+//     diff between two whole state encodings, with a chain digest over
+//     each reconstructed state. IncrementalEncoder produces them from full
+//     snapshots; stores only read them, so data directories written before
+//     key deltas still load.
+//
+// Full links keep the GCCKPT1 encoding, byte for byte.
+//
+// The byte-diff codec: the base is cut into fixed-size blocks indexed by a
+// rolling hash, the target is scanned with the same rolling hash, and
+// matches become COPY ops (extended greedily in both value and length)
+// while unmatched bytes become literals. A key-sorted state perturbed in a
+// few keys re-synchronizes right after each change.
 
 // CheckpointKind discriminates full checkpoints from deltas.
 type CheckpointKind uint8
@@ -31,9 +43,12 @@ type CheckpointKind uint8
 const (
 	// FullCheckpoint carries the complete state encoding.
 	FullCheckpoint CheckpointKind = 1
-	// DeltaCheckpoint carries a binary delta against the previous
+	// DeltaCheckpoint carries a byte diff against the previous
 	// checkpoint's state (identified by BaseInstance).
 	DeltaCheckpoint CheckpointKind = 2
+	// KeyDeltaCheckpoint carries an AppendKeyDelta payload against the
+	// previous checkpoint's state (identified by BaseInstance).
+	KeyDeltaCheckpoint CheckpointKind = 3
 )
 
 // Checkpoint is one link of an incremental checkpoint chain.
@@ -49,19 +64,26 @@ type Checkpoint struct {
 	BaseInstance uint64
 	// Chain is the chain digest through this checkpoint:
 	// sha256(chainTag ‖ Digest(snapshot)) for a full checkpoint,
-	// sha256(prevChain ‖ Digest(snapshot)) for a delta. A decoder that
-	// tracks the chain verifies every reconstructed snapshot against it.
+	// sha256(prevChain ‖ Digest(snapshot)) for a byte-diff delta, and
+	// sha256(prevChain ‖ the link) for a key delta (KeyDeltaLink). A
+	// decoder that tracks the chain verifies every link against it.
 	Chain [32]byte
 	// Payload is the full state encoding or the delta bytes.
 	Payload []byte
 }
 
-// ckptMagic prefixes every encoded checkpoint (versioned).
-const ckptMagic = "GCCKPT1\n"
+// Checkpoint magics: the version selects the delta format and chain rule.
+const (
+	ckptMagic   = "GCCKPT1\n" // full and byte-diff links
+	ckptMagicV2 = "GCCKPT2\n" // key-delta links
+)
 
 // chainTag seeds the chain digest at every full checkpoint, domain-separating
-// it from raw snapshot digests.
-const chainTag = "genconsensus/chain/full\n"
+// it from raw snapshot digests; keyChainTag separates key-delta link digests.
+const (
+	chainTag    = "genconsensus/chain/full\n"
+	keyChainTag = "genconsensus/chain/keydelta\n"
+)
 
 // MaxDeltaBytes bounds the payload a checkpoint decoder accepts: a delta is
 // at worst the whole target as one literal plus framing, so anything past
@@ -73,16 +95,27 @@ const MaxDeltaBytes = MaxStateBytes + 4096
 //
 //	enc := magic kind(u8) lastInstance(u64) logIndex(u64) baseInstance(u64)
 //	       chain(32) payloadLen(u32) payload
+//
+// where magic is GCCKPT2 for key-delta links and GCCKPT1 otherwise.
 func AppendCheckpoint(dst []byte, c *Checkpoint) []byte {
-	dst = append(dst, ckptMagic...)
+	return append(AppendCheckpointHeader(dst, c), c.Payload...)
+}
+
+// AppendCheckpointHeader appends AppendCheckpoint's encoding of c up to,
+// not including, the payload — for writers that hand the payload to the
+// medium without copying it.
+func AppendCheckpointHeader(dst []byte, c *Checkpoint) []byte {
+	if c.Kind == KeyDeltaCheckpoint {
+		dst = append(dst, ckptMagicV2...)
+	} else {
+		dst = append(dst, ckptMagic...)
+	}
 	dst = append(dst, byte(c.Kind))
 	dst = binary.BigEndian.AppendUint64(dst, c.LastInstance)
 	dst = binary.BigEndian.AppendUint64(dst, c.LogIndex)
 	dst = binary.BigEndian.AppendUint64(dst, c.BaseInstance)
 	dst = append(dst, c.Chain[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.Payload)))
-	dst = append(dst, c.Payload...)
-	return dst
+	return binary.BigEndian.AppendUint32(dst, uint32(len(c.Payload)))
 }
 
 // EncodeCheckpoint serializes a checkpoint into a fresh buffer.
@@ -93,19 +126,26 @@ func EncodeCheckpoint(c *Checkpoint) []byte {
 }
 
 // DecodeCheckpoint parses an EncodeCheckpoint result, rejecting truncated,
-// oversized, trailing-byte or unknown-kind encodings.
+// oversized, trailing-byte or unknown-kind encodings, and kinds the magic
+// version does not carry.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	header := len(ckptMagic) + 61
 	if len(data) < header {
 		return nil, fmt.Errorf("%w: %d checkpoint bytes", ErrMalformed, len(data))
 	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad checkpoint magic", ErrMalformed)
-	}
 	rest := data[len(ckptMagic):]
 	c := &Checkpoint{Kind: CheckpointKind(rest[0])}
-	if c.Kind != FullCheckpoint && c.Kind != DeltaCheckpoint {
-		return nil, fmt.Errorf("%w: checkpoint kind %d", ErrMalformed, c.Kind)
+	switch string(data[:len(ckptMagic)]) {
+	case ckptMagic:
+		if c.Kind != FullCheckpoint && c.Kind != DeltaCheckpoint {
+			return nil, fmt.Errorf("%w: checkpoint kind %d", ErrMalformed, c.Kind)
+		}
+	case ckptMagicV2:
+		if c.Kind != KeyDeltaCheckpoint {
+			return nil, fmt.Errorf("%w: checkpoint kind %d", ErrMalformed, c.Kind)
+		}
+	default:
+		return nil, fmt.Errorf("%w: bad checkpoint magic", ErrMalformed)
 	}
 	c.LastInstance = binary.BigEndian.Uint64(rest[1:9])
 	c.LogIndex = binary.BigEndian.Uint64(rest[9:17])
@@ -126,7 +166,10 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // chainAfter computes the chain digest for snap given the previous link
 // (zero prev with full=true starts a fresh chain).
 func chainAfter(prev [32]byte, snap *Snapshot, full bool) [32]byte {
-	d := Digest(snap)
+	return chainAfterDigest(prev, Digest(snap), full)
+}
+
+func chainAfterDigest(prev, d [32]byte, full bool) [32]byte {
 	h := sha256.New()
 	if full {
 		h.Write([]byte(chainTag))
@@ -139,10 +182,60 @@ func chainAfter(prev [32]byte, snap *Snapshot, full bool) [32]byte {
 	return out
 }
 
-// IncrementalEncoder turns a stream of snapshots into a checkpoint chain:
-// every FullEvery-th checkpoint is full, the rest are deltas against their
-// immediate predecessor. The zero value (or FullEvery ≤ 1) emits only full
-// checkpoints. Not safe for concurrent use.
+// keyDeltaChain is the chain digest of key-delta link c after a link whose
+// chain digest is prev: sha256(prev ‖ tag ‖ lastInstance ‖ logIndex ‖
+// baseInstance ‖ payload). It covers the link, not the state it yields, so
+// it costs a hash of the payload only.
+func keyDeltaChain(prev [32]byte, c *Checkpoint) [32]byte {
+	h := sha256.New()
+	h.Write(prev[:])
+	h.Write([]byte(keyChainTag))
+	var hdr [24]byte
+	binary.BigEndian.PutUint64(hdr[0:], c.LastInstance)
+	binary.BigEndian.PutUint64(hdr[8:], c.LogIndex)
+	binary.BigEndian.PutUint64(hdr[16:], c.BaseInstance)
+	h.Write(hdr[:])
+	h.Write(c.Payload)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// FullLink returns the full link for snap, which starts a new chain, and
+// snap's Digest, which the link's chain digest is built on. The link's
+// payload aliases snap.State.
+func FullLink(snap *Snapshot) (*Checkpoint, [32]byte) {
+	d := Digest(snap)
+	return &Checkpoint{
+		Kind:         FullCheckpoint,
+		LastInstance: snap.LastInstance,
+		LogIndex:     snap.LogIndex,
+		Chain:        chainAfterDigest([32]byte{}, d, true),
+		Payload:      snap.State,
+	}, d
+}
+
+// KeyDeltaLink returns the key-delta link carrying payload (an
+// AppendKeyDelta encoding) that extends the chain whose newest link is
+// prev.
+func KeyDeltaLink(prev *Checkpoint, lastInstance, logIndex uint64, payload []byte) *Checkpoint {
+	c := &Checkpoint{
+		Kind:         KeyDeltaCheckpoint,
+		LastInstance: lastInstance,
+		LogIndex:     logIndex,
+		BaseInstance: prev.LastInstance,
+		Payload:      payload,
+	}
+	c.Chain = keyDeltaChain(prev.Chain, c)
+	return c
+}
+
+// IncrementalEncoder turns a stream of full snapshots into a byte-diff
+// checkpoint chain: every FullEvery-th checkpoint is full, the rest are
+// deltas against their immediate predecessor. The zero value (or
+// FullEvery ≤ 1) emits only full checkpoints. It diffs whole states, so
+// every link costs a pass over the state; checkpoints on the commit path
+// use key-delta links instead. Not safe for concurrent use.
 type IncrementalEncoder struct {
 	// FullEvery is the full-snapshot period: 4 means full, delta, delta,
 	// delta, full, … Values ≤ 1 disable deltas.
@@ -151,15 +244,6 @@ type IncrementalEncoder struct {
 	count int
 	base  *Snapshot
 	chain [32]byte
-}
-
-// Reset forgets the chain: the next Encode emits a full checkpoint. Use it
-// after the base state is known to be out of sync (e.g. a snapshot was
-// installed from a peer rather than produced locally).
-func (e *IncrementalEncoder) Reset() {
-	e.count = 0
-	e.base = nil
-	e.chain = [32]byte{}
 }
 
 // Encode emits the next link of the chain for snap.
@@ -200,7 +284,8 @@ var (
 
 // IncrementalDecoder replays a checkpoint chain back into snapshots,
 // verifying every link's chain digest. Apply a full checkpoint first, then
-// each delta in order. Not safe for concurrent use.
+// each delta in order; byte-diff and key-delta links may both follow a
+// full link. Not safe for concurrent use.
 type IncrementalDecoder struct {
 	snap  *Snapshot
 	chain [32]byte
@@ -210,11 +295,7 @@ type IncrementalDecoder struct {
 // chain. Full checkpoints restart the chain; deltas require the immediately
 // preceding checkpoint to have been applied.
 func (d *IncrementalDecoder) Apply(c *Checkpoint) (*Snapshot, error) {
-	var state []byte
-	switch c.Kind {
-	case FullCheckpoint:
-		state = append([]byte(nil), c.Payload...)
-	case DeltaCheckpoint:
+	if c.Kind != FullCheckpoint {
 		if d.snap == nil {
 			return nil, ErrNoBase
 		}
@@ -222,17 +303,28 @@ func (d *IncrementalDecoder) Apply(c *Checkpoint) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: delta bases on instance %d, have %d",
 				ErrNoBase, c.BaseInstance, d.snap.LastInstance)
 		}
-		var err error
+	}
+	var state []byte
+	var err error
+	switch c.Kind {
+	case FullCheckpoint:
+		state = append([]byte(nil), c.Payload...)
+	case DeltaCheckpoint:
 		state, err = ApplyDelta(d.snap.State, c.Payload)
-		if err != nil {
-			return nil, err
+	case KeyDeltaCheckpoint:
+		// The chain covers the payload: check it before parsing.
+		if keyDeltaChain(d.chain, c) != c.Chain {
+			return nil, fmt.Errorf("%w: instance %d", ErrChainBroken, c.LastInstance)
 		}
+		state, err = MergeKeyDeltas(d.snap.State, c.Payload)
 	default:
 		return nil, fmt.Errorf("%w: checkpoint kind %d", ErrMalformed, c.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
 	snap := &Snapshot{LastInstance: c.LastInstance, LogIndex: c.LogIndex, State: state}
-	want := chainAfter(d.chain, snap, c.Kind == FullCheckpoint)
-	if want != c.Chain {
+	if c.Kind != KeyDeltaCheckpoint && chainAfter(d.chain, snap, c.Kind == FullCheckpoint) != c.Chain {
 		return nil, fmt.Errorf("%w: instance %d", ErrChainBroken, c.LastInstance)
 	}
 	d.snap = snap

@@ -11,6 +11,16 @@
 // exploits this to defend joiners against forged state: a snapshot is
 // installed only when b+1 peers present the same digest, which guarantees
 // at least one honest source under the Byzantine budget b.
+//
+// Checkpoints are stored as chains of links (Checkpoint): a full state,
+// then deltas. A state machine that tracks the keys it writes
+// (DeltaSnapshotter) produces key-level deltas (KeyDelta), so a
+// checkpoint costs work proportional to the keys written since the
+// previous one; MergeKeyDeltas folds deltas into a full state only when a
+// full encoding is needed — a full chain link, a state transfer, a
+// restore. The whole-state byte diff (EncodeDelta, IncrementalEncoder)
+// remains for comparing full encodings and for reading chains written
+// before key deltas existed.
 package snapshot
 
 import (
@@ -74,12 +84,14 @@ var (
 //
 // (big endian). Identical snapshots encode identically everywhere.
 func AppendSnapshot(dst []byte, s *Snapshot) []byte {
+	return append(appendSnapshotHeader(dst, s), s.State...)
+}
+
+func appendSnapshotHeader(dst []byte, s *Snapshot) []byte {
 	dst = append(dst, magic...)
 	dst = binary.BigEndian.AppendUint64(dst, s.LastInstance)
 	dst = binary.BigEndian.AppendUint64(dst, s.LogIndex)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.State)))
-	dst = append(dst, s.State...)
-	return dst
+	return binary.BigEndian.AppendUint32(dst, uint32(len(s.State)))
 }
 
 // Encode serializes a snapshot into a fresh buffer.
@@ -118,5 +130,11 @@ func Decode(data []byte) (*Snapshot, error) {
 // Digest returns the SHA-256 digest of the snapshot's encoding: the value
 // replicas compare to verify a transferred snapshot against b+1 peers.
 func Digest(s *Snapshot) [32]byte {
-	return sha256.Sum256(Encode(s))
+	// Hash the encoding in place: the state is not copied.
+	h := sha256.New()
+	h.Write(appendSnapshotHeader(make([]byte, 0, len(magic)+20), s))
+	h.Write(s.State)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }

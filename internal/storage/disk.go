@@ -23,9 +23,6 @@ type DiskConfig struct {
 	// every append). Larger batches trade the last FsyncBatch-1 decisions
 	// under power loss for an order of magnitude of append throughput.
 	FsyncBatch int
-	// FullSnapshotEvery makes every k-th checkpoint full, the rest deltas
-	// against their predecessor (default 4; 1 disables deltas).
-	FullSnapshotEvery int
 	// KeepChains bounds the checkpoint history to the last k full-snapshot
 	// chains (default 2).
 	KeepChains int
@@ -78,9 +75,6 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	if cfg.FsyncBatch < 1 {
 		cfg.FsyncBatch = 1
 	}
-	if cfg.FullSnapshotEvery < 1 {
-		cfg.FullSnapshotEvery = 4
-	}
 	if cfg.KeepChains < 1 {
 		cfg.KeepChains = 2
 	}
@@ -99,7 +93,7 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	if w.tornBytes > 0 {
 		cfg.Logf("storage: %s: discarded %d torn trailing bytes", cfg.Dir, w.tornBytes)
 	}
-	s, err := openSnapStore(cfg.Dir, cfg.Fsync, cfg.FullSnapshotEvery, cfg.KeepChains)
+	s, err := openSnapStore(cfg.Dir, cfg.Fsync, cfg.KeepChains)
 	if err != nil {
 		_ = w.close()
 		return nil, err
@@ -234,14 +228,14 @@ func (d *Disk) TruncateWAL(through uint64) error {
 	return nil
 }
 
-// SaveSnapshot implements Backend.
-func (d *Disk) SaveSnapshot(snap *snapshot.Snapshot) error {
+// SaveCheckpoint implements Backend.
+func (d *Disk) SaveCheckpoint(c *snapshot.Checkpoint) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	return d.snaps.save(snap)
+	return d.snaps.save(c)
 }
 
 // LoadSnapshot implements Backend.

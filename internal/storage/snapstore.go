@@ -12,10 +12,10 @@ import (
 	"genconsensus/internal/snapshot"
 )
 
-// The snapshot store keeps one incremental checkpoint chain per directory:
+// The snapshot store keeps checkpoint chains, one file per link:
 //
-//	ckpt-<instance>-full    every FullEvery-th checkpoint: the whole state
-//	ckpt-<instance>-delta   the rest: a delta against the previous link
+//	ckpt-<instance>-full    a full link: the whole state, starting a chain
+//	ckpt-<instance>-delta   a delta link against the previous link
 //
 // Each file is EncodeCheckpoint bytes followed by a sha256 footer over
 // them, written to a temp name and renamed into place — a crash mid-write
@@ -25,6 +25,12 @@ import (
 // fails, the next-older chain is tried, so one rotted file costs one
 // checkpoint interval, not the whole store. Pruning keeps the last
 // KeepChains chains.
+//
+// New delta links are key deltas (GCCKPT2). Byte-diff delta links
+// (GCCKPT1), written before key deltas existed, still load: the decoder
+// picks the format by the link's magic. Such a chain is never extended —
+// a reopened store takes a full link first — and pruning removes it once
+// KeepChains newer chains exist.
 const (
 	ckptPrefix    = "ckpt-"
 	ckptFullSufx  = "-full"
@@ -37,23 +43,19 @@ type snapStore struct {
 	dir        string
 	fsync      bool
 	keepChains int
-	enc        snapshot.IncrementalEncoder
 	newest     uint64      // newest stored checkpoint instance (0 = none)
+	tip        chainTip    // newest link written since open
 	m          diskMetrics // set by OpenDisk; zero value = disabled
 }
 
-// openSnapStore scans dir for existing checkpoints, clears stale temp
-// files and positions the encoder (a reopened store re-keys with a full
-// checkpoint; deltas resume after it).
-func openSnapStore(dir string, fsync bool, fullEvery, keepChains int) (*snapStore, error) {
-	if fullEvery < 1 {
-		fullEvery = 1
-	}
+// openSnapStore scans dir for existing checkpoints and clears stale temp
+// files. The store has no chain tip until its first save, so a reopened
+// store takes a full link before any delta.
+func openSnapStore(dir string, fsync bool, keepChains int) (*snapStore, error) {
 	if keepChains < 1 {
 		keepChains = 1
 	}
 	s := &snapStore{dir: dir, fsync: fsync, keepChains: keepChains}
-	s.enc.FullEvery = fullEvery
 	files, err := s.list()
 	if err != nil {
 		return nil, err
@@ -111,29 +113,34 @@ func (s *snapStore) list() ([]ckptFile, error) {
 	return files, nil
 }
 
-// save encodes the next chain link for snap and writes it atomically.
-// Snapshots at or below the newest stored checkpoint are dropped. A failed
-// write resets the encoder: Encode already advanced the chain past a link
-// that never reached the disk, and a later delta based on the missing link
-// would verify nowhere — re-keying with a full checkpoint on the next save
-// keeps every on-disk chain walkable.
-func (s *snapStore) save(snap *snapshot.Snapshot) error {
-	if s.newest != 0 && snap.LastInstance <= s.newest {
+// save writes one chain link atomically. Links at or below the newest
+// stored checkpoint are dropped; a delta link must extend the tip. A
+// failed write clears the tip: a later delta based on the missing link
+// would verify nowhere, so only a full link is accepted next.
+func (s *snapStore) save(c *snapshot.Checkpoint) error {
+	if s.newest != 0 && c.LastInstance <= s.newest {
 		return nil
 	}
-	c := s.enc.Encode(snap)
-	if err := s.write(snap.LastInstance, c); err != nil {
-		s.enc.Reset()
+	if !s.tip.admits(c) {
+		return ErrChainGap
+	}
+	if err := s.write(c.LastInstance, c); err != nil {
+		s.tip = chainTip{}
 		return err
 	}
-	s.newest = snap.LastInstance
+	s.newest = c.LastInstance
+	s.tip.advance(c)
 	return s.prune()
 }
 
 // write puts one encoded checkpoint link on disk, atomically.
 func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
-	enc := snapshot.EncodeCheckpoint(c)
-	sum := sha256.Sum256(enc)
+	hdr := snapshot.AppendCheckpointHeader(nil, c)
+	h := sha256.New()
+	h.Write(hdr)
+	h.Write(c.Payload)
+	sum := h.Sum(nil)
+	size := uint64(len(hdr) + len(c.Payload))
 	suffix := ckptDeltaSufx
 	if c.Kind == snapshot.FullCheckpoint {
 		suffix = ckptFullSufx
@@ -151,10 +158,13 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 			_ = os.Remove(tmpPath)
 		}
 	}()
-	if _, err := tmp.Write(enc); err != nil {
+	if _, err := tmp.Write(hdr); err != nil {
 		return fmt.Errorf("storage: writing checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(sum[:]); err != nil {
+	if _, err := tmp.Write(c.Payload); err != nil {
+		return fmt.Errorf("storage: writing checkpoint: %w", err)
+	}
+	if _, err := tmp.Write(sum); err != nil {
 		return fmt.Errorf("storage: writing checkpoint: %w", err)
 	}
 	if s.fsync {
@@ -170,9 +180,9 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 		return fmt.Errorf("storage: checkpoint rename: %w", err)
 	}
 	if c.Kind == snapshot.FullCheckpoint {
-		s.m.ckptFullBytes.Add(uint64(len(enc)))
+		s.m.ckptFullBytes.Add(size)
 	} else {
-		s.m.ckptDeltaBytes.Add(uint64(len(enc)))
+		s.m.ckptDeltaBytes.Add(size)
 	}
 	return syncDir(s.dir, s.fsync)
 }

@@ -4,7 +4,7 @@
 // default: everything dies with the process, exactly the pre-durability
 // behaviour, and the simulator's stand-in for a disk image that survives a
 // power cycle) and Disk (a CRC-framed, fsync-batched WAL plus atomic,
-// digest-verified, incrementally-encoded checkpoint files).
+// digest-verified checkpoint chain files).
 //
 // The division of labour with the layers above:
 //
@@ -18,9 +18,17 @@
 //     order and leaves reordering to the commit queue.
 //
 //   - Checkpoints truncate: when a snapshot manager checkpoints at instance
-//     k it calls SaveSnapshot then TruncateWAL(k), so the WAL only ever
+//     k it calls SaveCheckpoint with the checkpoint's chain link and, once
+//     that returns without error, TruncateWAL(k), so the WAL only ever
 //     holds the window between the newest durable checkpoint and the head.
 //     Recovery is LoadSnapshot + ReplayWAL, in that order.
+//
+//   - The caller builds the chain (snapshot.FullLink, snapshot.KeyDeltaLink)
+//     and the backend stores it: a full link starts a new chain, and a
+//     delta link is accepted only when it extends the newest link this
+//     backend stored since it was opened. A reopened backend therefore
+//     takes a full link first, and a link that could never be walked at
+//     load is refused at save, before the WAL beneath it is truncated.
 //
 //   - Verification is local: LoadSnapshot returns only digest-verified
 //     checkpoints and ReplayWAL only CRC-clean records. Cross-replica
@@ -59,11 +67,15 @@ type Backend interface {
 	// before the rewrite merely replays records the recovery path filters
 	// against the checkpoint anyway.
 	TruncateWAL(through uint64) error
-	// SaveSnapshot durably records a checkpoint. Snapshots at or below the
-	// newest stored checkpoint are dropped without error.
-	SaveSnapshot(snap *snapshot.Snapshot) error
-	// LoadSnapshot returns the newest verified checkpoint, or ok=false
-	// when none is stored (or none survives verification).
+	// SaveCheckpoint durably records one checkpoint chain link. Links at
+	// or below the newest stored checkpoint are dropped without error. A
+	// delta link that does not extend the newest link stored since open
+	// (base instance and chain digest) is refused with ErrChainGap. The
+	// backend may keep c.Payload; callers must not modify it afterwards.
+	SaveCheckpoint(c *snapshot.Checkpoint) error
+	// LoadSnapshot returns the newest verified checkpoint, materialized
+	// from its chain, or ok=false when none is stored (or none survives
+	// verification).
 	LoadSnapshot() (snap *snapshot.Snapshot, ok bool, err error)
 	// Sync flushes any batched writes to stable storage.
 	Sync() error
@@ -74,6 +86,33 @@ type Backend interface {
 // ErrClosed reports an operation on a closed backend.
 var ErrClosed = errors.New("storage: backend closed")
 
+// ErrChainGap rejects a delta link that does not extend the newest stored
+// link.
+var ErrChainGap = errors.New("storage: delta link does not extend the stored chain")
+
+// chainTip is the newest stored link, the one a delta link must extend.
+type chainTip struct {
+	set      bool
+	instance uint64
+	chain    [32]byte
+}
+
+// admits reports whether c may be stored after the tip: a full link always
+// may, a delta link only when it extends the tip.
+func (t *chainTip) admits(c *snapshot.Checkpoint) bool {
+	if c.Kind == snapshot.FullCheckpoint {
+		return true
+	}
+	return t.set && c.BaseInstance == t.instance &&
+		snapshot.KeyDeltaLink(&snapshot.Checkpoint{LastInstance: t.instance, Chain: t.chain},
+			c.LastInstance, c.LogIndex, c.Payload).Chain == c.Chain
+}
+
+// advance makes c the tip.
+func (t *chainTip) advance(c *snapshot.Checkpoint) {
+	*t = chainTip{set: true, instance: c.LastInstance, chain: c.Chain}
+}
+
 // Memory is the in-memory Backend: nothing is durable across a process
 // exit, but the value survives as long as the Memory itself does — the
 // simulator hands the same Memory to a replica rebuilt after a simulated
@@ -82,7 +121,8 @@ type Memory struct {
 	mu      sync.Mutex
 	records []memRecord
 	have    map[uint64]struct{}
-	snap    *snapshot.Snapshot
+	links   []*snapshot.Checkpoint // the newest chain, full link first
+	tip     chainTip
 	closed  bool
 }
 
@@ -148,21 +188,24 @@ func (m *Memory) TruncateWAL(through uint64) error {
 	return nil
 }
 
-// SaveSnapshot implements Backend.
-func (m *Memory) SaveSnapshot(snap *snapshot.Snapshot) error {
+// SaveCheckpoint implements Backend. Memory keeps only the newest chain.
+func (m *Memory) SaveCheckpoint(c *snapshot.Checkpoint) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
-	if m.snap != nil && snap.LastInstance <= m.snap.LastInstance {
+	if n := len(m.links); n > 0 && c.LastInstance <= m.links[n-1].LastInstance {
 		return nil
 	}
-	m.snap = &snapshot.Snapshot{
-		LastInstance: snap.LastInstance,
-		LogIndex:     snap.LogIndex,
-		State:        append([]byte(nil), snap.State...),
+	if !m.tip.admits(c) {
+		return ErrChainGap
 	}
+	if c.Kind == snapshot.FullCheckpoint {
+		m.links = m.links[:0]
+	}
+	m.links = append(m.links, c)
+	m.tip.advance(c)
 	return nil
 }
 
@@ -173,14 +216,16 @@ func (m *Memory) LoadSnapshot() (*snapshot.Snapshot, bool, error) {
 	if m.closed {
 		return nil, false, ErrClosed
 	}
-	if m.snap == nil {
-		return nil, false, nil
+	var dec snapshot.IncrementalDecoder
+	var snap *snapshot.Snapshot
+	for _, c := range m.links {
+		s, err := dec.Apply(c)
+		if err != nil {
+			return nil, false, err
+		}
+		snap = s
 	}
-	return &snapshot.Snapshot{
-		LastInstance: m.snap.LastInstance,
-		LogIndex:     m.snap.LogIndex,
-		State:        append([]byte(nil), m.snap.State...),
-	}, true, nil
+	return snap, snap != nil, nil
 }
 
 // Sync implements Backend (a no-op in memory).
@@ -209,6 +254,7 @@ func (m *Memory) Reopen() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = false
+	m.tip = chainTip{} // like a reopened Disk, the next chain starts full
 }
 
 // WALLen reports how many records the WAL retains (tests and metrics).

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/snapshot"
 )
@@ -115,24 +117,50 @@ func TestBackendWALTruncate(t *testing.T) {
 	})
 }
 
+// kvChain builds the checkpoint links a snapshot manager would write for
+// n checkpoints at instances step, 2·step, …: every fullEvery-th a full
+// link, key deltas in between, each after a few writes to a kv store of
+// `keys` keys. It returns the links and the state each one stands for.
+func kvChain(t *testing.T, n, fullEvery, keys int, step uint64) ([]*snapshot.Checkpoint, [][]byte) {
+	t.Helper()
+	store := kv.NewStore()
+	for i := 0; i < keys; i++ {
+		store.Apply(kv.Command(fmt.Sprintf("seed-%d", i), "SET", fmt.Sprintf("key-%05d", i), strings.Repeat("v", 32)))
+	}
+	var links []*snapshot.Checkpoint
+	var states [][]byte
+	for c := 0; c < n; c++ {
+		store.Apply(kv.Command(fmt.Sprintf("w-%d", c), "SET", fmt.Sprintf("key-%05d", c*7%keys), fmt.Sprintf("state-%d", c)))
+		store.Apply(kv.Command(fmt.Sprintf("d-%d", c), "DEL", fmt.Sprintf("key-%05d", c*11%keys), ""))
+		instance := uint64(c+1) * step
+		d := store.SnapshotDelta()
+		var link *snapshot.Checkpoint
+		if c%fullEvery == 0 {
+			link, _ = snapshot.FullLink(&snapshot.Snapshot{LastInstance: instance, LogIndex: instance * 10, State: store.SnapshotState()})
+		} else {
+			link = snapshot.KeyDeltaLink(links[c-1], instance, instance*10, snapshot.AppendKeyDelta(nil, d))
+		}
+		links = append(links, link)
+		states = append(states, store.SnapshotState())
+	}
+	return links, states
+}
+
 func TestBackendSnapshotRoundTrip(t *testing.T) {
 	backends(t, func(t *testing.T, open func() Backend) {
 		b := open()
 		if _, ok, err := b.LoadSnapshot(); err != nil || ok {
 			t.Fatalf("empty store: ok=%v err=%v", ok, err)
 		}
-		for i := uint64(1); i <= 9; i++ {
-			snap := &snapshot.Snapshot{
-				LastInstance: i * 10,
-				LogIndex:     i * 100,
-				State:        []byte(strings.Repeat(fmt.Sprintf("state-%d|", i), 50)),
-			}
-			if err := b.SaveSnapshot(snap); err != nil {
+		links, states := kvChain(t, 9, 4, 64, 10)
+		for _, c := range links {
+			if err := b.SaveCheckpoint(c); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Stale saves are dropped.
-		if err := b.SaveSnapshot(&snapshot.Snapshot{LastInstance: 5, State: []byte("stale")}); err != nil {
+		stale, _ := snapshot.FullLink(&snapshot.Snapshot{LastInstance: 5, State: []byte("stale")})
+		if err := b.SaveCheckpoint(stale); err != nil {
 			t.Fatal(err)
 		}
 		check := func(b Backend) {
@@ -144,7 +172,7 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 			if snap.LastInstance != 90 || snap.LogIndex != 900 {
 				t.Fatalf("loaded snapshot at %d/%d, want 90/900", snap.LastInstance, snap.LogIndex)
 			}
-			if !strings.Contains(string(snap.State), "state-9|") {
+			if string(snap.State) != string(states[8]) {
 				t.Fatal("loaded snapshot carries the wrong state")
 			}
 		}
@@ -152,19 +180,31 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 		b.Close()
 		b = open()
 		check(b)
+		// A reopened backend starts a new chain: a delta extending the
+		// pre-reopen tip is refused, a full link is taken.
+		more, _ := kvChain(t, 11, 4, 64, 10)
+		if err := b.SaveCheckpoint(more[9]); !errors.Is(err, ErrChainGap) {
+			t.Fatalf("delta after reopen: %v, want ErrChainGap", err)
+		}
+		full, _ := snapshot.FullLink(&snapshot.Snapshot{LastInstance: 100, LogIndex: 1000, State: states[8]})
+		if err := b.SaveCheckpoint(full); err != nil {
+			t.Fatal(err)
+		}
+		if snap, ok, err := b.LoadSnapshot(); err != nil || !ok || snap.LastInstance != 100 {
+			t.Fatalf("load after new chain: snap=%+v ok=%v err=%v", snap, ok, err)
+		}
 	})
 }
 
 func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(DiskConfig{Dir: dir, FullSnapshotEvery: 3, KeepChains: 2})
+	d, err := OpenDisk(DiskConfig{Dir: dir, KeepChains: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := strings.Repeat("0123456789abcdef", 512) // 8 KiB
-	for i := uint64(1); i <= 9; i++ {
-		state := []byte(base + fmt.Sprintf("tail-%d", i)) // tiny change per checkpoint
-		if err := d.SaveSnapshot(&snapshot.Snapshot{LastInstance: i, LogIndex: i, State: state}); err != nil {
+	links, states := kvChain(t, 9, 3, 256, 1)
+	for _, c := range links {
+		if err := d.SaveCheckpoint(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,8 +237,8 @@ func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 	if err != nil || !ok || snap.LastInstance != 9 {
 		t.Fatalf("load: snap=%+v ok=%v err=%v", snap, ok, err)
 	}
-	if got := string(snap.State); !strings.HasSuffix(got, "tail-9") {
-		t.Fatalf("reconstructed state ends %q", got[len(got)-16:])
+	if string(snap.State) != string(states[8]) {
+		t.Fatal("reconstructed state diverged")
 	}
 	d.Close()
 
@@ -222,6 +262,89 @@ func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 	}
 	if snap.LastInstance != 8 {
 		t.Fatalf("load after rot picked instance %d, want 8 (the last clean link)", snap.LastInstance)
+	}
+	if string(snap.State) != string(states[7]) {
+		t.Fatal("fallback state diverged")
+	}
+}
+
+// TestDiskLoadsLegacyChain loads a data directory written before key
+// deltas existed (testdata/legacy-chain: a full link and two byte-diff
+// delta links under the state-digest chain rule). The next save starts a
+// new chain, and pruning removes the old links once KeepChains newer
+// chains exist.
+func TestDiskLoadsLegacyChain(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "legacy-chain")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The commands the legacy chain was written from.
+	store := kv.NewStore()
+	for c := 1; c <= 3; c++ {
+		for i := 0; i < 6; i++ {
+			store.Apply(kv.Command(fmt.Sprintf("r%d-%d", c, i), "SET", fmt.Sprintf("k%d", (c*3+i)%8), fmt.Sprintf("v%d-%d", c, i)))
+		}
+	}
+	store.Apply(kv.Command("r3-del", "DEL", "k1", ""))
+
+	d, err := OpenDisk(DiskConfig{Dir: dir, KeepChains: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	snap, ok, err := d.LoadSnapshot()
+	if err != nil || !ok || snap.LastInstance != 30 || snap.LogIndex != 21 {
+		t.Fatalf("legacy load: snap=%+v ok=%v err=%v", snap, ok, err)
+	}
+	if string(snap.State) != string(store.SnapshotState()) {
+		t.Fatal("legacy chain reconstructed the wrong state")
+	}
+
+	// New chains after the legacy one: 40 (full), 50 (key delta), 60 (full).
+	restored := kv.NewStore()
+	if err := restored.RestoreState(snap.State); err != nil {
+		t.Fatal(err)
+	}
+	legacy := &snapshot.Checkpoint{LastInstance: 30}
+	delta := snapshot.KeyDeltaLink(legacy, 40, 28, snapshot.AppendKeyDelta(nil, restored.SnapshotDelta()))
+	if err := d.SaveCheckpoint(delta); !errors.Is(err, ErrChainGap) {
+		t.Fatalf("delta extending the legacy chain: %v, want ErrChainGap", err)
+	}
+	full, _ := snapshot.FullLink(&snapshot.Snapshot{LastInstance: 40, LogIndex: 28, State: restored.SnapshotState()})
+	restored.Apply(kv.Command("r4", "SET", "k9", "v4"))
+	next := snapshot.KeyDeltaLink(full, 50, 29, snapshot.AppendKeyDelta(nil, restored.SnapshotDelta()))
+	last, _ := snapshot.FullLink(&snapshot.Snapshot{LastInstance: 60, LogIndex: 29, State: restored.SnapshotState()})
+	for _, c := range []*snapshot.Checkpoint{full, next} {
+		if err := d.SaveCheckpoint(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap, ok, err := d.LoadSnapshot(); err != nil || !ok || snap.LastInstance != 50 ||
+		string(snap.State) != string(restored.SnapshotState()) {
+		t.Fatalf("load of the new chain: snap=%+v ok=%v err=%v", snap, ok, err)
+	}
+	if err := d.SaveCheckpoint(last); err != nil {
+		t.Fatal(err)
+	}
+	left, err := d.snaps.list()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		if f.instance <= 30 {
+			t.Fatalf("legacy link %s survived pruning", f.name)
+		}
 	}
 }
 
